@@ -2,16 +2,18 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::OnceLock;
 
 use meshslice_mesh::{ChipId, LinkDir, Torus2d};
 
 use crate::config::{NetworkModel, SimConfig};
 use crate::failure::{AbortInfo, ChipFailure, FailureOutcome};
 use crate::hbm::HbmChannel;
-use crate::lower::{lower, Category, ExecGraph, Resource};
+use crate::lower::{lower, lower_quotient, Category, ExecGraph, Resource};
 use crate::perturb::ClusterProfile;
 use crate::program::{OpId, Program};
 use crate::report::{SimReport, TimeBreakdown};
+use crate::symmetry::{detect, CompactProgram, Symmetry};
 use crate::time::Duration;
 
 /// Completion record of one program operation (from
@@ -187,10 +189,42 @@ pub struct Engine {
 /// differ only in their fault profile (the robust-tuning hot path), and
 /// across threads (`LoweredProgram` is `Send + Sync`).
 ///
+/// A translation-symmetric program ([`Symmetry::Reduced`]) is lowered to
+/// chip 0's quotient graph, which report-only runs on a fault-free engine
+/// execute. Every other run of it — under a non-ideal fault profile or a
+/// chip failure — needs the full graph, which is lowered from the kept
+/// program on first need and cached.
+///
 /// Produced by [`Engine::lower_program`]; consumed by
-/// [`Engine::run_lowered`] and [`Engine::run_lowered_with_scratch`].
+/// [`Engine::run_lowered`], [`Engine::run_lowered_with_scratch`] and
+/// [`Engine::run_lowered_with_failure`].
 #[derive(Clone, Debug)]
 pub struct LoweredProgram {
+    symmetry: Symmetry,
+    /// Present exactly when the program was reduced.
+    reduction: Option<Box<Reduction>>,
+    /// The full graph: lowered eagerly for a full program, on first need
+    /// for a reduced one.
+    full: OnceLock<LoweredGraph>,
+    num_ops: usize,
+    total_flops: u64,
+    num_chips: usize,
+}
+
+/// A reduced program's quotient graph, and what its full graph is lowered
+/// from on first need: the lowering engine's mesh and fault-free config,
+/// and the program in compact form.
+#[derive(Clone, Debug)]
+struct Reduction {
+    quotient: LoweredGraph,
+    mesh: Torus2d,
+    config: SimConfig,
+    program: CompactProgram,
+}
+
+/// One lowered node graph with the index structures the event loop reads.
+#[derive(Clone, Debug)]
+struct LoweredGraph {
     graph: ExecGraph,
     /// Per-node hot fields, packed for cache locality: the event loop
     /// touches only this copy; the full [`ExecGraph`] nodes are read only
@@ -204,10 +238,58 @@ pub struct LoweredProgram {
     deps_left_init: Vec<u32>,
     /// Nodes with no dependencies, in index order.
     roots: Vec<usize>,
-    /// Chip of each program op, for trace attribution.
-    op_chips: Vec<ChipId>,
-    total_flops: u64,
-    num_chips: usize,
+    /// Chips the graph's nodes run on: the mesh's, or 1 for a quotient.
+    chips: usize,
+}
+
+impl LoweredGraph {
+    fn new(graph: ExecGraph, chips: usize) -> Self {
+        let n = graph.nodes.len();
+        let mut deps_left_init = vec![0u32; n];
+        // CSR construction: count dependents, prefix-sum, then fill.
+        let mut dep_starts = vec![0u32; n + 1];
+        for (i, node) in graph.nodes.iter().enumerate() {
+            deps_left_init[i] = node.deps.len() as u32;
+            for &d in &node.deps {
+                dep_starts[d + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            dep_starts[i + 1] += dep_starts[i];
+        }
+        let mut dep_targets = vec![0u32; dep_starts[n] as usize];
+        let mut cursor = dep_starts.clone();
+        for (i, node) in graph.nodes.iter().enumerate() {
+            for &d in &node.deps {
+                dep_targets[cursor[d] as usize] = i as u32;
+                cursor[d] += 1;
+            }
+        }
+        let hot = graph
+            .nodes
+            .iter()
+            .map(|node| HotNode {
+                sync: node.sync,
+                timer: node.timer,
+                flow_bytes: node.flow_bytes,
+                flow_cap: node.flow_cap,
+                fabric_bytes: node.fabric_bytes,
+                chip: node.chip as u32,
+                resource: node.resource,
+                category: node.category,
+            })
+            .collect();
+        let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
+        LoweredGraph {
+            graph,
+            hot,
+            dep_starts,
+            dep_targets,
+            deps_left_init,
+            roots,
+            chips,
+        }
+    }
 }
 
 /// The per-node fields the event loop actually reads, packed into one
@@ -226,14 +308,43 @@ struct HotNode {
 }
 
 impl LoweredProgram {
-    /// Number of lowered execution nodes.
+    /// Whether report-only runs simulate chip 0's quotient graph
+    /// ([`Symmetry::Reduced`]) or the full graph, and if not, why.
+    /// Decided at lowering from the program and the lowering engine's
+    /// network; a run under a non-ideal fault profile or a chip failure
+    /// always simulates the full graph.
+    pub fn symmetry(&self) -> Symmetry {
+        self.symmetry
+    }
+
+    /// Number of execution nodes [`Engine::lower_program`] lowered: the
+    /// quotient graph's for a reduced program, the full graph's
+    /// otherwise. A reduced program's full graph, lowered later by a run
+    /// that needs it, is not counted, and this accessor never builds it.
     pub fn num_nodes(&self) -> usize {
-        self.graph.nodes.len()
+        match &self.reduction {
+            Some(r) => r.quotient.graph.nodes.len(),
+            None => self.full_graph().graph.nodes.len(),
+        }
     }
 
     /// Number of program operations.
     pub fn num_ops(&self) -> usize {
-        self.op_chips.len()
+        self.num_ops
+    }
+
+    /// The full graph, lowering it from the kept program on first use.
+    fn full_graph(&self) -> &LoweredGraph {
+        self.full.get_or_init(|| {
+            let r = self
+                .reduction
+                .as_ref()
+                .expect("only a reduced program defers its full graph");
+            LoweredGraph::new(
+                lower(&r.mesh, &r.config, &r.program.expand()),
+                r.mesh.num_chips(),
+            )
+        })
     }
 }
 
@@ -264,7 +375,8 @@ pub struct RunScratch {
     finish_seq: Vec<usize>,
     compute_cum: Vec<f64>,
     compute_since: Vec<Option<f64>>,
-    overlap_at_start: Vec<f64>,
+    hidden: Vec<f64>,
+    chip_buckets: Vec<Buckets>,
 }
 
 impl RunScratch {
@@ -483,7 +595,6 @@ struct Run<'a> {
     done_pool: Vec<Vec<usize>>,
     seq: u64,
     makespan: f64,
-    buckets: Buckets,
     completed: usize,
     finish_time: Vec<f64>,
     /// When set, every finished busy interval is recorded as a span.
@@ -491,9 +602,6 @@ struct Run<'a> {
     /// When set, per-node schedule instants (`ready_time`, `acquire_time`,
     /// `res_pred`, `finish_seq`) are maintained for [`RunTimeline`].
     collect_nodes: bool,
-    /// When set, per-node finish times are maintained (op traces and
-    /// timelines need them; plain report-only runs skip the stores).
-    collect_finish: bool,
     spans: Vec<NodeSpan>,
     ready_time: Vec<f64>,
     acquire_time: Vec<f64>,
@@ -505,11 +613,11 @@ struct Run<'a> {
     compute_cum: Vec<f64>,
     /// Busy-interval start of the chip's currently active compute node.
     compute_since: Vec<Option<f64>>,
-    /// Compute measure snapshot taken when a transfer node went busy.
-    overlap_at_start: Vec<f64>,
-    /// Total comm-transfer busy time that ran while the same chip's
-    /// compute unit was busy (the paper's "hidden" communication).
-    overlapped: f64,
+    /// Per transfer node: the chip's compute measure when it went busy,
+    /// replaced at completion by the part of its busy time that ran while
+    /// the same chip's compute unit was busy (the paper's "hidden"
+    /// communication).
+    hidden: Vec<f64>,
     /// Permanent-failure context (`None` on the normal path).
     failure: Option<FailCtx>,
     /// Detection time once a watchdog fires; set at most once, and the
@@ -517,13 +625,36 @@ struct Run<'a> {
     aborted: Option<f64>,
 }
 
-#[derive(Clone, Debug, Default)]
+/// Report totals: the busy time per category, plus the hidden transfer
+/// time.
+#[derive(Clone, Copy, Debug, Default)]
 struct Buckets {
     compute: f64,
     slice: f64,
     comm_launch: f64,
     comm_sync: f64,
     comm_transfer: f64,
+    overlapped: f64,
+}
+
+impl Buckets {
+    fn add(&mut self, other: &Buckets) {
+        self.compute += other.compute;
+        self.slice += other.slice;
+        self.comm_launch += other.comm_launch;
+        self.comm_sync += other.comm_sync;
+        self.comm_transfer += other.comm_transfer;
+        self.overlapped += other.overlapped;
+    }
+}
+
+/// What a run records beyond its report.
+#[derive(Clone, Copy, Debug, Default)]
+struct Collect {
+    /// Every finished busy interval, as a [`NodeSpan`].
+    spans: bool,
+    /// Per-node schedule instants, for a [`RunTimeline`].
+    nodes: bool,
 }
 
 impl Engine {
@@ -556,12 +687,17 @@ impl Engine {
 
     /// Runs a program to completion and reports timing.
     ///
+    /// On a fault-free engine (no profile, or an ideal one) a
+    /// translation-symmetric program runs as chip 0's quotient graph (see
+    /// [`LoweredProgram::symmetry`]); the report is bit-for-bit the one
+    /// the full graph produces.
+    ///
     /// # Panics
     ///
     /// Panics if the program deadlocks (a dependency cycle), which would
     /// indicate a bug in the schedule builder.
     pub fn run(&self, program: &Program) -> SimReport {
-        self.run_traced(program).0
+        self.run_with_scratch(program, &mut RunScratch::default())
     }
 
     /// Like [`run`](Self::run), but clears and reuses the caller's
@@ -573,8 +709,15 @@ impl Engine {
     ///
     /// Panics if the program deadlocks (a dependency cycle).
     pub fn run_with_scratch(&self, program: &Program, scratch: &mut RunScratch) -> SimReport {
-        let lowered = self.lower_program(program);
-        self.run_lowered_with_scratch(&lowered, scratch)
+        validate(program);
+        let graph = if self.active_profile().is_some() {
+            self.lower_full(program)
+        } else {
+            self.report_graph(program).1
+        };
+        let total_flops = program.total_flops();
+        self.run_graph(&graph, total_flops, scratch, Collect::default(), None, None)
+            .report
     }
 
     /// Validates and lowers a program once, for repeated execution via
@@ -583,62 +726,80 @@ impl Engine {
     ///
     /// The lowered form does not depend on [`SimConfig::faults`], so it can
     /// be reused across engines that differ only in their fault profile.
+    /// A translation-symmetric program on a physical torus is lowered to
+    /// chip 0's quotient graph only ([`LoweredProgram::symmetry`]); its
+    /// full graph is lowered when a run first needs it.
     ///
     /// # Panics
     ///
-    /// Panics if the program has a dependency cycle.
+    /// Panics if the program has a dependency cycle or an op that depends
+    /// on a later op.
     pub fn lower_program(&self, program: &Program) -> LoweredProgram {
-        if let Err(cycle) = program.validate_acyclic() {
-            panic!("invalid program: {cycle}");
-        }
-        let graph = lower(&self.mesh, &self.config, program);
-        let n = graph.nodes.len();
-        let mut deps_left_init = vec![0u32; n];
-        // CSR construction: count dependents, prefix-sum, then fill.
-        let mut dep_starts = vec![0u32; n + 1];
-        for (i, node) in graph.nodes.iter().enumerate() {
-            deps_left_init[i] = node.deps.len() as u32;
-            for &d in &node.deps {
-                dep_starts[d + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            dep_starts[i + 1] += dep_starts[i];
-        }
-        let mut dep_targets = vec![0u32; dep_starts[n] as usize];
-        let mut cursor = dep_starts.clone();
-        for (i, node) in graph.nodes.iter().enumerate() {
-            for &d in &node.deps {
-                dep_targets[cursor[d] as usize] = i as u32;
-                cursor[d] += 1;
-            }
-        }
-        let hot = graph
-            .nodes
-            .iter()
-            .map(|node| HotNode {
-                sync: node.sync,
-                timer: node.timer,
-                flow_bytes: node.flow_bytes,
-                flow_cap: node.flow_cap,
-                fabric_bytes: node.fabric_bytes,
-                chip: node.chip as u32,
-                resource: node.resource,
-                category: node.category,
-            })
-            .collect();
-        let roots = (0..n).filter(|&i| deps_left_init[i] == 0).collect();
+        validate(program);
+        let (symmetry, graph) = self.report_graph(program);
+        let (reduction, full) = match symmetry {
+            Symmetry::Reduced { .. } => (
+                Some(Box::new(Reduction {
+                    quotient: graph,
+                    mesh: self.mesh.clone(),
+                    config: SimConfig {
+                        faults: None,
+                        ..self.config.clone()
+                    },
+                    program: CompactProgram::new(program, self.mesh.num_chips()),
+                })),
+                OnceLock::new(),
+            ),
+            Symmetry::Full(_) => (None, OnceLock::from(graph)),
+        };
         LoweredProgram {
-            graph,
-            hot,
-            dep_starts,
-            dep_targets,
-            deps_left_init,
-            roots,
-            op_chips: program.ops().iter().map(|op| op.chip).collect(),
+            symmetry,
+            reduction,
+            full,
+            num_ops: program.len(),
             total_flops: program.total_flops(),
             num_chips: self.mesh.num_chips(),
         }
+    }
+
+    /// Decides the symmetry of a validated program and lowers the graph a
+    /// report-only run on a fault-free engine executes: chip 0's quotient
+    /// when reduced, the full graph otherwise.
+    fn report_graph(&self, program: &Program) -> (Symmetry, LoweredGraph) {
+        let symmetry = detect(&self.mesh, &self.config, program);
+        let graph = match symmetry {
+            Symmetry::Reduced { .. } => {
+                LoweredGraph::new(lower_quotient(&self.mesh, &self.config, program), 1)
+            }
+            Symmetry::Full(_) => self.lower_full(program),
+        };
+        (symmetry, graph)
+    }
+
+    /// Lowers every chip's ops (the program must be validated).
+    fn lower_full(&self, program: &Program) -> LoweredGraph {
+        LoweredGraph::new(
+            lower(&self.mesh, &self.config, program),
+            self.mesh.num_chips(),
+        )
+    }
+
+    /// The config's fault profile, unless it is absent or ideal. An ideal
+    /// profile would only multiply by exactly 1.0 everywhere; dropping it
+    /// keeps the unperturbed fast path and makes the bit-for-bit
+    /// equivalence structural.
+    fn active_profile(&self) -> Option<&ClusterProfile> {
+        self.config.faults.as_ref().filter(|p| !p.is_ideal())
+    }
+
+    /// Checks that `lowered` was built for a mesh of this engine's size.
+    fn check_lowered(&self, lowered: &LoweredProgram) {
+        let chips = self.mesh.num_chips();
+        assert_eq!(
+            lowered.num_chips, chips,
+            "lowered program was built for {} chips but the mesh has {chips}",
+            lowered.num_chips
+        );
     }
 
     /// Runs a pre-lowered program to completion and reports timing.
@@ -656,6 +817,10 @@ impl Engine {
     /// the hottest path: no validation, no lowering, no run-state
     /// allocation. Bit-for-bit identical to [`run`](Self::run).
     ///
+    /// A reduced program runs its quotient graph unless this engine
+    /// carries a non-ideal fault profile; then it runs the full graph,
+    /// lowering it on first need.
+    ///
     /// # Panics
     ///
     /// Panics if the lowered program was built for a mesh of a different
@@ -665,9 +830,20 @@ impl Engine {
         lowered: &LoweredProgram,
         scratch: &mut RunScratch,
     ) -> SimReport {
-        let (report, _, _, _, _) =
-            self.run_lowered_inner(lowered, scratch, false, false, false, None);
-        report
+        self.check_lowered(lowered);
+        let graph = match (&lowered.reduction, self.active_profile()) {
+            (Some(r), None) => &r.quotient,
+            _ => lowered.full_graph(),
+        };
+        self.run_graph(
+            graph,
+            lowered.total_flops,
+            scratch,
+            Collect::default(),
+            None,
+            None,
+        )
+        .report
     }
 
     /// Runs a program that may be interrupted by a permanent chip
@@ -698,12 +874,20 @@ impl Engine {
         failure: ChipFailure,
         sync_timeout: f64,
     ) -> FailureOutcome {
-        let lowered = self.lower_program(program);
-        self.run_lowered_with_failure(&lowered, &mut RunScratch::default(), failure, sync_timeout)
+        validate(program);
+        let graph = self.lower_full(program);
+        self.failure_outcome(
+            &graph,
+            program.total_flops(),
+            &mut RunScratch::default(),
+            failure,
+            sync_timeout,
+        )
     }
 
     /// Pre-lowered, scratch-reusing variant of
     /// [`run_with_failure`](Self::run_with_failure) — the sweep hot path.
+    /// Always runs the full graph.
     pub fn run_lowered_with_failure(
         &self,
         lowered: &LoweredProgram,
@@ -711,107 +895,127 @@ impl Engine {
         failure: ChipFailure,
         sync_timeout: f64,
     ) -> FailureOutcome {
-        let (report, _, _, _, abort) = self.run_lowered_inner(
-            lowered,
+        self.check_lowered(lowered);
+        self.failure_outcome(
+            lowered.full_graph(),
+            lowered.total_flops,
             scratch,
-            false,
-            false,
-            false,
+            failure,
+            sync_timeout,
+        )
+    }
+
+    fn failure_outcome(
+        &self,
+        graph: &LoweredGraph,
+        total_flops: u64,
+        scratch: &mut RunScratch,
+        failure: ChipFailure,
+        sync_timeout: f64,
+    ) -> FailureOutcome {
+        let out = self.run_graph(
+            graph,
+            total_flops,
+            scratch,
+            Collect::default(),
+            None,
             Some((failure, sync_timeout)),
         );
-        match abort {
+        match out.abort {
             Some(info) => FailureOutcome::Aborted(info),
-            None => FailureOutcome::Completed(report),
+            None => FailureOutcome::Completed(out.report),
         }
     }
 
     /// Like [`run_spans`](Self::run_spans), but additionally returns the
     /// full realized schedule: one [`NodeRecord`] per lowered node with
     /// ready/acquire/busy/finish instants, dependency edges, and resource
-    /// handoffs — everything critical-path extraction needs.
+    /// handoffs — everything critical-path extraction needs. Always runs
+    /// the full graph.
     ///
     /// # Panics
     ///
     /// Panics if the program deadlocks.
     pub fn run_instrumented(&self, program: &Program) -> (SimReport, Vec<NodeSpan>, RunTimeline) {
-        let (report, _, mut spans, timeline) = self.run_inner(program, true, true);
-        spans.sort_by(|a, b| {
-            (a.chip.index(), a.track.lane())
-                .cmp(&(b.chip.index(), b.track.lane()))
-                .then(a.start.as_secs().total_cmp(&b.start.as_secs()))
-        });
-        (report, spans, timeline)
+        let out = self.run_inner(
+            program,
+            Collect {
+                spans: true,
+                nodes: true,
+            },
+        );
+        (out.report, sorted_spans(out.spans), out.timeline)
     }
 
     /// Like [`run`](Self::run), but also returns the completion time of
     /// every program operation — useful for timeline visualization and
-    /// for debugging schedules.
+    /// for debugging schedules. Always runs the full graph.
     ///
     /// # Panics
     ///
     /// Panics if the program deadlocks.
     pub fn run_traced(&self, program: &Program) -> (SimReport, Vec<OpTrace>) {
-        let (report, traces, _, _) = self.run_inner(program, false, false);
-        (report, traces)
+        let out = self.run_inner(program, Collect::default());
+        (out.report, out.traces)
     }
 
     /// Like [`run`](Self::run), but also returns every busy interval of
     /// every execution lane (compute unit, link directions, host), sorted
     /// by chip, lane, and start time — the raw material for a Chrome
-    /// trace-event timeline.
+    /// trace-event timeline. Always runs the full graph.
     ///
     /// # Panics
     ///
     /// Panics if the program deadlocks.
     pub fn run_spans(&self, program: &Program) -> (SimReport, Vec<NodeSpan>) {
-        let (report, _, mut spans, _) = self.run_inner(program, true, false);
-        spans.sort_by(|a, b| {
-            (a.chip.index(), a.track.lane())
-                .cmp(&(b.chip.index(), b.track.lane()))
-                .then(a.start.as_secs().total_cmp(&b.start.as_secs()))
-        });
-        (report, spans)
-    }
-
-    fn run_inner(
-        &self,
-        program: &Program,
-        collect_spans: bool,
-        collect_nodes: bool,
-    ) -> (SimReport, Vec<OpTrace>, Vec<NodeSpan>, RunTimeline) {
-        let lowered = self.lower_program(program);
-        let (report, traces, spans, timeline, _) = self.run_lowered_inner(
-            &lowered,
-            &mut RunScratch::default(),
-            collect_spans,
-            collect_nodes,
-            true,
-            None,
+        let out = self.run_inner(
+            program,
+            Collect {
+                spans: true,
+                nodes: false,
+            },
         );
-        (report, traces, spans, timeline)
+        (out.report, sorted_spans(out.spans))
     }
 
-    fn run_lowered_inner(
+    /// Runs the full graph of `program`, recording op traces and whatever
+    /// else `collect` asks for.
+    fn run_inner(&self, program: &Program, collect: Collect) -> RunOutput {
+        validate(program);
+        let graph = self.lower_full(program);
+        let op_chips: Vec<ChipId> = program.ops().iter().map(|op| op.chip).collect();
+        self.run_graph(
+            &graph,
+            program.total_flops(),
+            &mut RunScratch::default(),
+            collect,
+            Some(&op_chips),
+            None,
+        )
+    }
+
+    /// The event loop. Runs `g` and reports for the whole mesh: a quotient
+    /// graph's one chip stands for every chip. `op_chips` (the chip of
+    /// every program op) turns on op traces.
+    fn run_graph(
         &self,
-        lowered: &LoweredProgram,
+        g: &LoweredGraph,
+        total_flops: u64,
         scratch: &mut RunScratch,
-        collect_spans: bool,
-        collect_nodes: bool,
-        collect_traces: bool,
+        collect: Collect,
+        op_chips: Option<&[ChipId]>,
         failure: Option<(ChipFailure, f64)>,
-    ) -> (
-        SimReport,
-        Vec<OpTrace>,
-        Vec<NodeSpan>,
-        RunTimeline,
-        Option<AbortInfo>,
-    ) {
-        let n = lowered.graph.nodes.len();
-        let chips = self.mesh.num_chips();
+    ) -> RunOutput {
+        let collect_spans = collect.spans;
+        let collect_nodes = collect.nodes;
+        let n = g.graph.nodes.len();
+        let mesh_chips = self.mesh.num_chips();
+        // Resources exist for the graph's chips only.
+        let chips = g.chips;
         if let Some((cf, timeout)) = &failure {
             assert!(
-                cf.chip < chips,
-                "failed chip {} outside {chips}-chip mesh",
+                cf.chip < mesh_chips,
+                "failed chip {} outside {mesh_chips}-chip mesh",
                 cf.chip
             );
             assert!(
@@ -824,29 +1028,24 @@ impl Engine {
                 "sync timeout {timeout} must be finite and non-negative"
             );
         }
-        assert_eq!(
-            lowered.num_chips, chips,
-            "lowered program was built for {} chips but the mesh has {chips}",
-            lowered.num_chips
-        );
-        let profile = self.config.faults.as_ref();
-        if let Some(p) = profile {
+        if let Some(p) = &self.config.faults {
             assert_eq!(
                 p.num_chips(),
-                chips,
-                "fault profile covers {} chips but the mesh has {chips}",
+                mesh_chips,
+                "fault profile covers {} chips but the mesh has {mesh_chips}",
                 p.num_chips()
             );
         }
-        // An ideal profile would only multiply by exactly 1.0 everywhere;
-        // dropping it keeps the unperturbed fast path and makes the
-        // bit-for-bit equivalence structural.
-        let profile = profile.filter(|p| !p.is_ideal());
+        let profile = self.active_profile();
+        debug_assert!(
+            (profile.is_none() && failure.is_none()) || chips == mesh_chips,
+            "faults and failures need the full graph"
+        );
 
         // Reset the scratch buffers to exactly the state a fresh
         // allocation would have, keeping their capacity.
         scratch.deps_left.clear();
-        scratch.deps_left.extend_from_slice(&lowered.deps_left_init);
+        scratch.deps_left.extend_from_slice(&g.deps_left_init);
         refill(&mut scratch.phase, n, Phase::Blocked);
         scratch.compute_units.truncate(chips);
         for rs in &mut scratch.compute_units {
@@ -876,10 +1075,7 @@ impl Engine {
         for buf in &mut scratch.done_pool {
             buf.clear();
         }
-        let collect_finish = collect_traces || collect_nodes;
-        if collect_finish {
-            refill(&mut scratch.finish_time, n, 0.0);
-        }
+        refill(&mut scratch.finish_time, n, 0.0);
         scratch.spans.clear();
         if collect_nodes {
             refill(&mut scratch.ready_time, n, 0.0);
@@ -891,15 +1087,15 @@ impl Engine {
         refill(&mut scratch.busy_start_time, n, 0.0);
         refill(&mut scratch.compute_cum, chips, 0.0);
         refill(&mut scratch.compute_since, chips, None);
-        refill(&mut scratch.overlap_at_start, n, 0.0);
+        refill(&mut scratch.hidden, n, 0.0);
 
         let mut run = Run {
-            nodes: &lowered.graph,
-            hot: &lowered.hot,
+            nodes: &g.graph,
+            hot: &g.hot,
             profile,
             deps_left: std::mem::take(&mut scratch.deps_left),
-            dep_starts: &lowered.dep_starts,
-            dep_targets: &lowered.dep_targets,
+            dep_starts: &g.dep_starts,
+            dep_targets: &g.dep_targets,
             phase: std::mem::take(&mut scratch.phase),
             compute_units: std::mem::take(&mut scratch.compute_units),
             links: std::mem::take(&mut scratch.links),
@@ -915,12 +1111,10 @@ impl Engine {
             done_pool: std::mem::take(&mut scratch.done_pool),
             seq: 0,
             makespan: 0.0,
-            buckets: Buckets::default(),
             completed: 0,
             finish_time: std::mem::take(&mut scratch.finish_time),
             collect_spans,
             collect_nodes,
-            collect_finish,
             spans: std::mem::take(&mut scratch.spans),
             ready_time: std::mem::take(&mut scratch.ready_time),
             acquire_time: std::mem::take(&mut scratch.acquire_time),
@@ -929,8 +1123,7 @@ impl Engine {
             finish_seq: std::mem::take(&mut scratch.finish_seq),
             compute_cum: std::mem::take(&mut scratch.compute_cum),
             compute_since: std::mem::take(&mut scratch.compute_since),
-            overlap_at_start: std::mem::take(&mut scratch.overlap_at_start),
-            overlapped: 0.0,
+            hidden: std::mem::take(&mut scratch.hidden),
             failure: failure.map(|(cf, timeout)| FailCtx {
                 chip: cf.chip as u32,
                 timeout,
@@ -959,7 +1152,7 @@ impl Engine {
         // of them: zero-duration roots can complete instantly and make
         // further nodes ready (through the normal dependency path), which
         // must not be re-readied by this loop.
-        for &i in &lowered.roots {
+        for &i in &g.roots {
             if run.phase[i] == Phase::Blocked {
                 run.ready(i, 0.0);
             }
@@ -1023,34 +1216,40 @@ impl Engine {
             }
         };
 
+        // An aborted run's report is never returned; its unfinished
+        // nodes have no busy time to sum.
+        let totals = if abort.is_none() {
+            run.canonical_totals(&mut scratch.chip_buckets, mesh_chips)
+        } else {
+            Buckets::default()
+        };
         let report = SimReport::new(
             Duration::from_secs(run.makespan),
-            chips,
+            mesh_chips,
             self.config.peak_flops,
-            lowered.total_flops,
+            total_flops,
             TimeBreakdown {
-                compute: Duration::from_secs(run.buckets.compute),
-                slice: Duration::from_secs(run.buckets.slice),
-                comm_launch: Duration::from_secs(run.buckets.comm_launch),
-                comm_sync: Duration::from_secs(run.buckets.comm_sync),
-                comm_transfer: Duration::from_secs(run.buckets.comm_transfer),
+                compute: Duration::from_secs(totals.compute),
+                slice: Duration::from_secs(totals.slice),
+                comm_launch: Duration::from_secs(totals.comm_launch),
+                comm_sync: Duration::from_secs(totals.comm_sync),
+                comm_transfer: Duration::from_secs(totals.comm_transfer),
             },
-            Duration::from_secs(run.overlapped),
+            Duration::from_secs(totals.overlapped),
         );
-        let traces = if collect_traces {
-            lowered
+        let traces = match op_chips {
+            Some(op_chips) => g
                 .graph
                 .op_exit
                 .iter()
                 .enumerate()
                 .map(|(op_idx, &exit)| OpTrace {
                     op: OpId(op_idx),
-                    chip: lowered.op_chips[op_idx],
+                    chip: op_chips[op_idx],
                     completed: Duration::from_secs(run.finish_time[exit]),
                 })
-                .collect()
-        } else {
-            Vec::new()
+                .collect(),
+            None => Vec::new(),
         };
 
         // Dismantle the run and hand its buffers back to the scratch.
@@ -1075,12 +1274,12 @@ impl Engine {
             finish_seq,
             compute_cum,
             compute_since,
-            overlap_at_start,
+            hidden,
             ..
         } = run;
 
         let timeline = if collect_nodes {
-            let nodes = lowered
+            let nodes = g
                 .graph
                 .nodes
                 .iter()
@@ -1131,12 +1330,81 @@ impl Engine {
         scratch.res_pred = res_pred;
         scratch.compute_cum = compute_cum;
         scratch.compute_since = compute_since;
-        scratch.overlap_at_start = overlap_at_start;
-        (report, traces, spans, timeline, abort)
+        scratch.hidden = hidden;
+        RunOutput {
+            report,
+            traces,
+            spans,
+            timeline,
+            abort,
+        }
     }
 }
 
+/// Everything one run of the event loop produces; the artifacts a run did
+/// not collect are empty.
+struct RunOutput {
+    report: SimReport,
+    traces: Vec<OpTrace>,
+    spans: Vec<NodeSpan>,
+    timeline: RunTimeline,
+    abort: Option<AbortInfo>,
+}
+
+/// Panics unless `program` is acyclic and lists every dependency before
+/// its dependent, as lowering requires. The scan is allocation-free; the
+/// topological sort that names a cycle runs only when the scan finds a
+/// forward reference.
+fn validate(program: &Program) {
+    if program.deps_point_backward() {
+        return;
+    }
+    if let Err(cycle) = program.validate_acyclic() {
+        panic!("invalid program: {cycle}");
+    }
+    panic!("invalid program: an op depends on a later op");
+}
+
+/// Sorts spans by chip, lane, and start time.
+fn sorted_spans(mut spans: Vec<NodeSpan>) -> Vec<NodeSpan> {
+    spans.sort_by(|a, b| {
+        (a.chip.index(), a.track.lane())
+            .cmp(&(b.chip.index(), b.track.lane()))
+            .then(a.start.as_secs().total_cmp(&b.start.as_secs()))
+    });
+    spans
+}
+
 impl<'a> Run<'a> {
+    /// Sums the report buckets of a completed run in a canonical order
+    /// that does not depend on event order: per chip in node-index order,
+    /// then chips in index order. Mesh chip `c` takes the sums of graph
+    /// chip `c mod chips`, so a quotient graph's one chip is counted for
+    /// every chip — the same additions, on the same values, as the full
+    /// graph of a symmetric program.
+    fn canonical_totals(&self, per_chip: &mut Vec<Buckets>, mesh_chips: usize) -> Buckets {
+        refill(per_chip, self.compute_units.len(), Buckets::default());
+        for (i, info) in self.hot.iter().enumerate() {
+            let b = &mut per_chip[info.chip as usize];
+            let busy = self.finish_time[i] - self.busy_start_time[i];
+            b.comm_sync += info.sync;
+            match info.category {
+                Category::Compute => b.compute += busy,
+                Category::Slice => b.slice += busy,
+                Category::CommLaunch => b.comm_launch += busy,
+                Category::CommTransfer => {
+                    b.comm_transfer += busy;
+                    b.overlapped += self.hidden[i];
+                }
+            }
+        }
+        let mut total = Buckets::default();
+        for c in 0..mesh_chips {
+            total.add(&per_chip[c % per_chip.len()]);
+        }
+        total
+    }
+
     fn schedule(&mut self, t: f64, event: Event) {
         self.seq += 1;
         self.heap
@@ -1440,13 +1708,12 @@ impl<'a> Run<'a> {
         let info = self.hot[node];
         let chip = info.chip as usize;
         self.busy_start_time[node] = t;
-        self.buckets.comm_sync += info.sync;
         match (info.resource, info.category) {
             // The compute unit is exclusive, so at most one node per chip
             // is ever active here.
             (Resource::Compute, _) => self.compute_since[chip] = Some(t),
             (_, Category::CommTransfer) => {
-                self.overlap_at_start[node] = self.compute_measure(chip, t);
+                self.hidden[node] = self.compute_measure(chip, t);
             }
             _ => {}
         }
@@ -1547,12 +1814,6 @@ impl<'a> Run<'a> {
         let info = self.hot[node];
         let chip = info.chip as usize;
         let busy = t - busy_start;
-        match info.category {
-            Category::Compute => self.buckets.compute += busy,
-            Category::Slice => self.buckets.slice += busy,
-            Category::CommLaunch => self.buckets.comm_launch += busy,
-            Category::CommTransfer => self.buckets.comm_transfer += busy,
-        }
         match (info.resource, info.category) {
             (Resource::Compute, _) => {
                 self.compute_cum[chip] += busy;
@@ -1562,8 +1823,8 @@ impl<'a> Run<'a> {
                 // Transfer time covered by the chip's compute-busy set over
                 // this node's busy interval — communication the schedule
                 // actually hid under computation.
-                let hidden = self.compute_measure(chip, t) - self.overlap_at_start[node];
-                self.overlapped += hidden.max(0.0);
+                let hidden = self.compute_measure(chip, t) - self.hidden[node];
+                self.hidden[node] = hidden.max(0.0);
             }
             _ => {}
         }
@@ -1591,9 +1852,7 @@ impl<'a> Run<'a> {
             self.finish_seq.push(node);
         }
         self.completed += 1;
-        if self.collect_finish {
-            self.finish_time[node] = t;
-        }
+        self.finish_time[node] = t;
         self.makespan = self.makespan.max(t);
 
         let handoff = match info.resource {
@@ -2353,6 +2612,52 @@ mod tests {
             slowed.makespan(),
             baseline.makespan()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid program: dependency cycle through op 0")]
+    fn hand_built_cycle_panics_with_the_cycle_error() {
+        let op = |dep| crate::program::Op {
+            chip: ChipId(0),
+            kind: crate::OpKind::SliceCopy { bytes: 8 },
+            deps: vec![OpId(dep)],
+        };
+        let program = Program {
+            ops: vec![op(1), op(0)],
+        };
+        Engine::new(Torus2d::new(1, 1), cfg()).lower_program(&program);
+    }
+
+    #[test]
+    #[should_panic(expected = "depends on a later op")]
+    fn forward_reference_panics_before_lowering() {
+        let op = |deps| crate::program::Op {
+            chip: ChipId(0),
+            kind: crate::OpKind::SliceCopy { bytes: 8 },
+            deps,
+        };
+        let program = Program {
+            ops: vec![op(vec![OpId(1)]), op(vec![])],
+        };
+        Engine::new(Torus2d::new(1, 1), cfg()).run(&program);
+    }
+
+    #[test]
+    fn reduced_program_counts_quotient_nodes_only() {
+        let mesh = Torus2d::new(4, 4);
+        let program = ring_program(&mesh);
+        let engine = Engine::new(mesh, cfg());
+        let lowered = engine.lower_program(&program);
+        assert_eq!(lowered.symmetry(), Symmetry::Reduced { chips: 16 });
+        // Launch, 3 ring steps, GeMM.
+        assert_eq!(lowered.num_nodes(), 5);
+        let faulted = engine.with_faults(ClusterProfile::ideal(16).with_compute_slowdown(5, 2.0));
+        let slow = faulted.run_lowered(&lowered);
+        assert!(slow.makespan() > engine.run_lowered(&lowered).makespan());
+        assert_eq!(slow, faulted.run(&program));
+        // The full graph lowered for the faulted run is not counted.
+        assert_eq!(lowered.num_nodes(), 5);
+        assert_eq!(lowered.num_ops(), 32);
     }
 
     #[test]

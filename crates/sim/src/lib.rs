@@ -49,6 +49,7 @@ mod perturb;
 mod pod;
 mod program;
 mod report;
+mod symmetry;
 mod time;
 
 pub use config::{NetworkModel, SimConfig};
@@ -63,6 +64,7 @@ pub use perturb::{ClusterProfile, LinkOutage};
 pub use pod::{PlaneAssignment, PodProfile};
 pub use program::{CollectiveKind, CycleError, OpId, OpKind, Program, ProgramBuilder};
 pub use report::{SimReport, TimeBreakdown};
+pub use symmetry::{FullReason, Symmetry};
 pub use time::{Duration, Time};
 
 // Re-exported so programs can be built without importing the tensor crate.

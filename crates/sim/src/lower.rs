@@ -10,6 +10,11 @@
 //! on the upstream neighbor's step `k − 1` — the data it forwards — which
 //! reproduces the neighbor-synchronized ring of the paper's Figure 3
 //! without any global barrier.
+//!
+//! A translation-symmetric program (see [`crate::symmetry`]) can instead be
+//! lowered to its *quotient graph*: chip 0's ops only, where ring step `k`
+//! waits on the chip's own step `k − 1` in place of the upstream
+//! neighbor's — the edge its step chain already carries.
 
 use std::collections::HashMap;
 
@@ -214,16 +219,30 @@ struct CollectiveGroup {
     axis: Option<CommAxis>,
 }
 
+/// Lowers every chip's ops to the full node graph.
 pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecGraph {
+    lower_with(mesh, cfg, program, false)
+}
+
+/// Lowers chip 0's ops to the quotient graph of a translation-symmetric
+/// program (one the [`crate::symmetry`] check reduced). Ops of other
+/// chips get no nodes; their `op_exit` entries are `usize::MAX`.
+pub(crate) fn lower_quotient(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecGraph {
+    lower_with(mesh, cfg, program, true)
+}
+
+fn lower_with(mesh: &Torus2d, cfg: &SimConfig, program: &Program, quotient: bool) -> ExecGraph {
+    let chips = if quotient { 1 } else { mesh.num_chips() };
+    let lowered_ops = program.ops().len() * chips / mesh.num_chips();
     let mut lw = Lowerer {
         cfg,
         // Every op lowers to a bounded handful of nodes per chip it
         // touches; reserving a generous estimate up front avoids the
         // doubling reallocations of a ~100 B/node vector that otherwise
         // dominate lowering of six-figure-node graphs.
-        nodes: Vec::with_capacity(16 * program.ops().len()),
-        chip_chain: vec![None; mesh.num_chips()],
-        link_chain: vec![[None; 4]; mesh.num_chips()],
+        nodes: Vec::with_capacity(16 * lowered_ops),
+        chip_chain: vec![None; chips],
+        link_chain: vec![[None; 4]; chips],
     };
     // op index -> (entry node, exit node)
     let mut op_nodes: Vec<(usize, usize)> = Vec::with_capacity(program.ops().len());
@@ -231,6 +250,10 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
 
     for (op_idx, op) in program.ops().iter().enumerate() {
         let chip = op.chip.index();
+        if chip >= chips {
+            op_nodes.push((usize::MAX, usize::MAX));
+            continue;
+        }
         let node_start = lw.nodes.len();
         let mut deps: Vec<usize> = op.deps.iter().map(|d| op_nodes[d.index()].1).collect();
         if !cfg.overlap_collectives {
@@ -295,9 +318,11 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
                     deps,
                     &mut steps,
                 );
-                let group = groups.entry(*tag).or_default();
-                group.axis = Some(*axis);
-                group.steps.insert(chip, steps);
+                if !quotient {
+                    let group = groups.entry(*tag).or_default();
+                    group.axis = Some(*axis);
+                    group.steps.insert(chip, steps);
+                }
                 (entry, exit)
             }
             OpKind::PipelinedBcast { axis, bytes } => {
@@ -351,7 +376,8 @@ pub(crate) fn lower(mesh: &Torus2d, cfg: &SimConfig, program: &Program) -> ExecG
     }
 
     // Cross-chip wiring: step k depends on the upstream neighbor's step
-    // k − 1 within the same collective and lane.
+    // k − 1 within the same collective and lane. (The quotient registers
+    // no groups: there the upstream is the chip itself.)
     for group in groups.values() {
         let axis = group.axis.expect("group has an axis");
         for (&chip, lanes) in &group.steps {
@@ -421,6 +447,27 @@ mod tests {
         // Step nodes after the first must have a cross-chip dependency.
         let two_deps = g.nodes.iter().filter(|n| n.deps.len() == 2).count();
         assert_eq!(two_deps, 8); // steps 1 and 2 on each of 4 chips
+    }
+
+    #[test]
+    fn quotient_lowers_chip_zero_with_a_plain_step_chain() {
+        let mesh = Torus2d::new(4, 1);
+        let mut b = ProgramBuilder::new(&mesh);
+        let tag = b.next_tag();
+        for chip in mesh.chips() {
+            b.all_gather(chip, tag, CommAxis::InterRow, 4096, &[]);
+        }
+        let program = b.build();
+        let g = lower_quotient(&mesh, &SimConfig::tpu_v4(), &program);
+        // Chip 0 only: 1 launch + 3 steps, each step waiting on its
+        // predecessor alone (the upstream neighbor is the chip itself).
+        assert_eq!(g.nodes.len(), 4);
+        assert!(g.nodes.iter().all(|n| n.chip == 0));
+        for (i, n) in g.nodes.iter().enumerate().skip(1) {
+            assert_eq!(n.deps, vec![i - 1]);
+        }
+        assert_eq!(g.op_exit[0], 3);
+        assert!(g.op_exit[1..].iter().all(|&e| e == usize::MAX));
     }
 
     #[test]

@@ -168,6 +168,20 @@ impl Program {
         self.ops.is_empty()
     }
 
+    /// Whether every dependency names an earlier op — the only form
+    /// [`ProgramBuilder`] produces. Such a program is acyclic by
+    /// construction, and its ops are already in a topological order.
+    ///
+    /// An allocation-free scan over the dependency lists; callers fall
+    /// back to [`validate_acyclic`](Self::validate_acyclic) only when it
+    /// returns `false`.
+    pub(crate) fn deps_point_backward(&self) -> bool {
+        self.ops
+            .iter()
+            .enumerate()
+            .all(|(i, op)| op.deps.iter().all(|d| d.0 < i))
+    }
+
     /// Checks that the op dependency graph is acyclic and returns a valid
     /// topological order of op indices.
     ///
@@ -644,6 +658,51 @@ mod tests {
         assert!(msg.contains("cycle through op 0"), "message: {msg}");
         assert!(msg.contains("chip 0"), "message: {msg}");
         assert!(msg.contains("0 -> 1"), "message: {msg}");
+    }
+
+    #[test]
+    fn builder_programs_point_backward() {
+        let mesh = Torus2d::new(2, 1);
+        let mut b = ProgramBuilder::new(&mesh);
+        let a = b.gemm(ChipId(0), GemmShape::new(1, 1, 1), &[]);
+        b.slice_copy(ChipId(1), 8, &[a]);
+        assert!(b.build().deps_point_backward());
+    }
+
+    #[test]
+    fn forward_but_acyclic_program_is_flagged_yet_valid() {
+        // Op 0 waits on op 1, which comes later in the list but does not
+        // wait on anything: no cycle, but not in builder order either.
+        let p = Program {
+            ops: vec![
+                Op {
+                    chip: ChipId(0),
+                    kind: OpKind::SliceCopy { bytes: 1 },
+                    deps: vec![OpId(1)],
+                },
+                Op {
+                    chip: ChipId(0),
+                    kind: OpKind::SliceCopy { bytes: 2 },
+                    deps: vec![],
+                },
+            ],
+        };
+        assert!(!p.deps_point_backward());
+        assert_eq!(p.validate_acyclic().expect("acyclic"), vec![1, 0]);
+    }
+
+    #[test]
+    fn hand_built_cycle_is_flagged_by_the_scan() {
+        let p = Program {
+            ops: vec![Op {
+                chip: ChipId(0),
+                kind: OpKind::SliceCopy { bytes: 1 },
+                deps: vec![OpId(0)],
+            }],
+        };
+        assert!(!p.deps_point_backward());
+        let err = p.validate_acyclic().unwrap_err();
+        assert_eq!(err.excerpt, vec![OpId(0)]);
     }
 
     #[test]
